@@ -3,7 +3,8 @@
 # the concurrent packages, a live-daemon /metrics scrape checked against the
 # required-family manifest, a 1-iteration benchmark sweep so every benchmark
 # (and the EX metrics it reports) stays runnable, a race-covered overload
-# smoke, and a bounded kstore crash-fuzz run.
+# smoke, bounded date-kernel and kstore fuzz runs, and the EX-parity plus
+# allocation-budget gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -100,17 +101,19 @@ if ! echo "$scale_out" | grep -qE '[1-9][0-9]* feedback sessions'; then
     exit 1
 fi
 
+echo "== date-kernel differential fuzz (allocation-free parser vs the fmt reference, 10s per target) =="
+go test -run '^$' -fuzz '^FuzzParseDate$' -fuzztime 10s ./internal/sqlexec
+go test -run '^$' -fuzz '^FuzzToChar$' -fuzztime 10s ./internal/sqlexec
+
 echo "== kstore crash-fuzz (1000 injected-fault iterations, event-loss + lineage checks) =="
 KSTORE_FUZZ_ITERS=1000 go test -count=1 -run 'TestCrashFuzz|TestFaultSweepExhaustive' ./internal/kstore
 
-# BENCH_6.json (ANN retrieval, PR 10) carries the current wall-clock and
-# allocation trajectory; its EX tables are bit-identical to BENCH_0.json —
-# the ANN layer is exact (order-identical top-k, enforced by the gate above)
-# and the standard suite's indexes sit below the partitioning threshold, so
-# default exhibits regenerate through the unchanged scan path. Gating
-# against it locks the original accuracy baseline through the retrieval
-# rewrite.
-echo "== EX parity gate (all tables vs committed BENCH_6.json baseline) =="
-go run ./cmd/benchrunner -json /tmp/bench_parity.json -baseline BENCH_6.json > /dev/null
+# BENCH_7.json (allocation-free date kernel) carries the current wall-clock
+# and allocation trajectory; its EX tables are bit-identical to BENCH_6.json
+# and the original BENCH_0.json. Gating against it locks the original
+# accuracy baseline, and its alloc_stats are the allocation budget: an
+# exhibit that allocates more than 1% over its committed count fails.
+echo "== EX parity + allocation-budget gate (all tables vs committed BENCH_7.json baseline) =="
+go run ./cmd/benchrunner -json /tmp/bench_parity.json -baseline BENCH_7.json > /dev/null
 
 echo "CI pass complete."

@@ -54,10 +54,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -122,8 +124,9 @@ type allocStat struct {
 
 // benchRecord is the machine-readable result file -json writes; committed
 // baselines (BENCH_0.json) give future PRs a perf and accuracy trajectory.
-// The parity gate (checkParity) compares Tables only; the remaining fields
-// are informational and may grow without invalidating old baselines.
+// The -baseline gate (checkParity) compares Tables and AllocStats; the
+// remaining fields are informational and may grow without invalidating old
+// baselines.
 type benchRecord struct {
 	Seed        uint64               `json:"seed"`
 	ModelSeed   uint64               `json:"model_seed"`
@@ -153,7 +156,7 @@ func main() {
 	modelSeed := flag.Uint64("modelseed", 42, "simulated-model seed")
 	rounds := flag.Int("rounds", 4, "improvement rounds")
 	jsonPath := flag.String("json", "", "also write results (EX tables + wall-clock) as JSON to this file")
-	baseline := flag.String("baseline", "", "EX-parity gate: compare the regenerated EX tables against this committed JSON baseline and exit non-zero on any drift")
+	baseline := flag.String("baseline", "", "EX-parity and allocation-budget gate: compare the regenerated EX tables (bit for bit) and per-exhibit allocation counts (at most 1% over) against this committed JSON baseline and exit non-zero on any drift")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	parallel := flag.Int("parallel", 0, "closed-loop load mode: N concurrent workers issuing Generate requests (skips table regeneration)")
 	requests := flag.Int("requests", 2000, "total requests to issue in -parallel load mode")
@@ -393,7 +396,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "EX parity gate FAILED:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("EX parity gate passed: tables bit-identical to %s\n", *baseline)
+		fmt.Printf("EX parity gate passed: tables bit-identical to %s, allocations within %d%% of its alloc_stats\n", *baseline, allocBudgetPct)
 	}
 }
 
@@ -773,12 +776,20 @@ func (p *approverPool) runSession(ctx context.Context, svc *genedit.Service, sme
 	return nil
 }
 
+// allocBudgetPct is how far, in percent, an exhibit's allocation count may
+// exceed the baseline's before the -baseline gate fails. Allocation counts
+// are deterministic up to background runtime noise, far below 1%.
+const allocBudgetPct = 1
+
 // checkParity diffs the regenerated EX tables against a committed baseline
 // record. Every table present in the baseline must have been regenerated
 // this run (so -baseline is only meaningful with -table all or a superset)
 // and must match row-for-row, bit-for-bit — wall-clock durations are
-// deliberately excluded. This is the CI gate that keeps API refactors from
-// silently drifting the paper's exhibits.
+// deliberately excluded. Every exhibit in the baseline's alloc_stats must
+// also have allocated at most allocBudgetPct percent more than it did there
+// (baselines without alloc_stats gate EX only). This is the CI gate that
+// keeps API refactors from silently drifting the paper's exhibits and perf
+// work from quietly giving back its allocation savings.
 func checkParity(record *benchRecord, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -792,13 +803,8 @@ func checkParity(record *benchRecord, path string) error {
 		return fmt.Errorf("seed mismatch: run (%d, %d) vs baseline (%d, %d) — rerun with -seed %d -modelseed %d",
 			record.Seed, record.ModelSeed, base.Seed, base.ModelSeed, base.Seed, base.ModelSeed)
 	}
-	names := make([]string, 0, len(base.Tables))
-	for name := range base.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var drift []string
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(base.Tables)) {
 		got, ok := record.Tables[name]
 		if !ok {
 			drift = append(drift, fmt.Sprintf("table %q not regenerated this run", name))
@@ -813,6 +819,17 @@ func checkParity(record *benchRecord, path string) error {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				drift = append(drift, fmt.Sprintf("table %q row %d: %+v vs baseline %+v", name, i, got[i], want[i]))
 			}
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(base.AllocStats)) {
+		got, ok := record.AllocStats[name]
+		if !ok {
+			drift = append(drift, fmt.Sprintf("exhibit %q not regenerated this run", name))
+			continue
+		}
+		if want := base.AllocStats[name].Allocs; got.Allocs*100 > want*(100+allocBudgetPct) {
+			drift = append(drift, fmt.Sprintf("exhibit %q: %d allocs vs baseline %d (+%.2f%%, budget +%d%%)",
+				name, got.Allocs, want, 100*(float64(got.Allocs)/float64(want)-1), allocBudgetPct))
 		}
 	}
 	if len(drift) > 0 {

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndRender(t *testing.T) {
@@ -158,5 +159,12 @@ func TestCompareProperties(t *testing.T) {
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueSize pins Value's packed layout: K and B share the first word.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 40 {
+		t.Fatalf("sizeof(Value) = %d bytes, want 40", got)
 	}
 }

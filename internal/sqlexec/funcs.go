@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"genedit/internal/sqldb"
@@ -277,8 +278,65 @@ type dateParts struct {
 }
 
 // parseDate accepts "YYYY-MM-DD", "YYYY-MM-DD hh:mm:ss" and "YYYY-MM" forms,
-// the formats the synthetic datasets store dates in.
+// the formats the synthetic datasets store dates in. Canonical strings are
+// decoded in place by parseCanonicalDate; everything else — including every
+// malformed string, so error text has exactly one source — goes through
+// parseDateGeneric, whose Sscanf("%d") semantics define the accepted language.
 func parseDate(s string) (dateParts, error) {
+	if d, ok := parseCanonicalDate(s); ok {
+		return d, nil
+	}
+	return parseDateGeneric(s)
+}
+
+// parseCanonicalDate decodes the stored shapes DDDD-DD and DDDD-DD-DD, each
+// optionally followed by ' ' and anything, from ASCII digits at fixed
+// offsets, without fmt and without allocating. It reports false for any
+// other shape and for an out-of-range month or day. On every string it
+// accepts, parseDateGeneric returns the same parts: TrimSpace removes
+// nothing before a leading digit, the first ' ' is the one after the date,
+// and Sscanf("%d") of a plain digit run is its decimal value.
+func parseCanonicalDate(s string) (dateParts, bool) {
+	if len(s) < 7 || s[4] != '-' || !isDigits(s[:4]) || !isDigits(s[5:7]) {
+		return dateParts{}, false
+	}
+	d := dateParts{year: digitsValue(s[:4]), month: digitsValue(s[5:7]), day: 1}
+	switch {
+	case len(s) == 7 || s[7] == ' ':
+	case s[7] == '-' && len(s) >= 10 && isDigits(s[8:10]) && (len(s) == 10 || s[10] == ' '):
+		d.day = digitsValue(s[8:10])
+	default:
+		return dateParts{}, false
+	}
+	if d.month < 1 || d.month > 12 || d.day < 1 || d.day > 31 {
+		return dateParts{}, false
+	}
+	return d, true
+}
+
+func isDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// digitsValue is the decimal value of a short run of ASCII digits.
+func digitsValue(s string) int {
+	n := 0
+	for i := 0; i < len(s); i++ {
+		n = n*10 + int(s[i]-'0')
+	}
+	return n
+}
+
+// parseDateGeneric is the reference date parser for non-canonical strings.
+// Model SQL is untrusted, so it keeps Sscanf("%d")'s quirks exactly: leading
+// Unicode spaces are trimmed, '+' signs are accepted and trailing junk in a
+// field is ignored ("2023-1x-05" is 2023-01-05).
+func parseDateGeneric(s string) (dateParts, error) {
 	s = strings.TrimSpace(s)
 	if i := strings.IndexByte(s, ' '); i >= 0 {
 		s = s[:i]
@@ -308,41 +366,56 @@ func parseDate(s string) (dateParts, error) {
 
 // toChar formats a stored date string using a warehouse-style format model.
 // Supported tokens: YYYY, MM, DD, Q, and double-quoted literal runs — enough
-// for the paper's 'YYYY"Q"Q' quarter bucketing and common variants.
+// for the paper's 'YYYY"Q"Q' quarter bucketing and common variants. The
+// output is assembled in a stack buffer, so the result string is the only
+// allocation for formats that fit it.
 func toChar(dateStr, format string) (string, error) {
 	d, err := parseDate(dateStr)
 	if err != nil {
 		return "", err
 	}
-	var sb strings.Builder
+	var buf [32]byte
+	out := buf[:0]
 	i := 0
 	for i < len(format) {
 		switch {
 		case strings.HasPrefix(format[i:], "YYYY"):
-			fmt.Fprintf(&sb, "%04d", d.year)
+			out = appendZeroPadded(out, d.year, 4)
 			i += 4
 		case strings.HasPrefix(format[i:], "MM"):
-			fmt.Fprintf(&sb, "%02d", d.month)
+			out = appendZeroPadded(out, d.month, 2)
 			i += 2
 		case strings.HasPrefix(format[i:], "DD"):
-			fmt.Fprintf(&sb, "%02d", d.day)
+			out = appendZeroPadded(out, d.day, 2)
 			i += 2
 		case format[i] == 'Q':
-			fmt.Fprintf(&sb, "%d", (d.month-1)/3+1)
+			out = strconv.AppendInt(out, int64((d.month-1)/3+1), 10)
 			i++
 		case format[i] == '"':
 			end := strings.IndexByte(format[i+1:], '"')
 			if end < 0 {
 				return "", execErrf("unterminated literal in TO_CHAR format %q", format)
 			}
-			sb.WriteString(format[i+1 : i+1+end])
+			out = append(out, format[i+1:i+1+end]...)
 			i += end + 2
 		default:
-			sb.WriteByte(format[i])
+			out = append(out, format[i])
 			i++
 		}
 	}
-	return sb.String(), nil
+	return string(out), nil
+}
+
+// appendZeroPadded appends v in decimal, zero-padded to width, as fmt's
+// "%0*d" does for the non-negative values parseDate produces ('-' separates
+// the fields, so no part carries a minus sign).
+func appendZeroPadded(dst []byte, v, width int) []byte {
+	var tmp [20]byte
+	digits := strconv.AppendInt(tmp[:0], int64(v), 10)
+	for n := len(digits); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 // evalAggregate computes a non-windowed aggregate over a group of rows.

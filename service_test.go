@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"genedit"
+	"genedit/internal/pipeline"
+	"genedit/internal/simllm"
 )
 
 func testRequests(t *testing.T, suite *genedit.Benchmark, n int) []genedit.Request {
@@ -44,11 +46,13 @@ func TestServiceGenerate(t *testing.T) {
 		t.Fatalf("OK response carries failure %v", resp.Failure)
 	}
 
-	// The service must match the deprecated positional API verbatim.
-	engine, err := genedit.NewEngine(suite, req.Database, genedit.DefaultConfig(), 42)
+	// The service must match a directly built engine verbatim.
+	kset, err := suite.BuildKnowledge(req.Database)
 	if err != nil {
 		t.Fatal(err)
 	}
+	model := simllm.New(simllm.GenEditProfile(), suite.Registry, 42)
+	engine := pipeline.New(model, kset, suite.Databases[req.Database], genedit.DefaultConfig())
 	rec, err := engine.Generate(req.Question, req.Evidence)
 	if err != nil {
 		t.Fatal(err)
