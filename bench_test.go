@@ -420,21 +420,17 @@ func BenchmarkTopK(b *testing.B) {
 // --- Compiled execution micro-benchmarks (PR 3) ---
 
 // compiledBenchModes runs a sub-benchmark per execution engine over the
-// same SQL; Query is used so the compiled and batch modes measure the
-// cached-plan serving path (parse and compile amortized away, as in the
-// k=3 loop). Statements outside the batch gate (joins, subqueries, CTEs)
-// fall back to the row path, so their "batch" numbers track "compiled".
+// same SQL; Query is used so the compiled mode measures the cached-plan
+// serving path (parse and compile amortized away, as in the k=3 loop).
 func compiledBenchModes(b *testing.B, db *sqldb.Database, sql string) {
 	b.Helper()
 	for _, mode := range []struct {
 		name     string
 		compiled bool
-		batch    bool
-	}{{"interpreted", false, false}, {"compiled", true, false}, {"batch", true, true}} {
+	}{{"interpreted", false}, {"compiled", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			exec := sqlexec.New(db)
 			exec.SetCompiledExec(mode.compiled)
-			exec.SetBatchExec(mode.batch)
 			if _, err := exec.Query(sql); err != nil { // warm the statement cache
 				b.Fatal(err)
 			}
@@ -498,66 +494,6 @@ func BenchmarkPredicatePushdown(b *testing.B) {
 	sql := "SELECT COUNT(*), SUM(AMOUNT) FROM PARENTS JOIN CHILDREN ON PARENTS.ID = CHILDREN.PARENT_ID " +
 		"WHERE PARENTS.NAME = 'p0001'"
 	compiledBenchModes(b, db, sql)
-}
-
-// --- Columnar batch execution micro-benchmarks (PR 6) ---
-
-// BenchmarkBatchScanFilter measures a filtered projection scan: the batch
-// engine evaluates the predicate as typed vector kernels over columnar
-// morsels and materializes only surviving lanes, versus the row engines'
-// per-row closure dispatch.
-func BenchmarkBatchScanFilter(b *testing.B) {
-	db := exprBenchDB(50000)
-	sql := "SELECT A, B, AMT FROM T WHERE B < 24 AND AMT > 100.0"
-	compiledBenchModes(b, db, sql)
-}
-
-// BenchmarkBatchAggregate measures an ungrouped multi-aggregate over the
-// full table: the batch engine's typed column-major accumulators never box
-// a value, versus the row paths' per-row argument collection.
-func BenchmarkBatchAggregate(b *testing.B) {
-	db := exprBenchDB(50000)
-	sql := "SELECT COUNT(*), SUM(AMT), AVG(A), MIN(B), MAX(AMT) FROM T"
-	compiledBenchModes(b, db, sql)
-}
-
-// BenchmarkBatchGroupBy measures hash GROUP BY aggregation through the
-// batch pipeline (vectorized filter, sequential morsel-order grouping for
-// bit-identical float sums).
-func BenchmarkBatchGroupBy(b *testing.B) {
-	db := exprBenchDB(50000)
-	sql := "SELECT D, COUNT(*), SUM(AMT), MAX(B) FROM T WHERE A % 3 <> 0 GROUP BY D"
-	compiledBenchModes(b, db, sql)
-}
-
-// BenchmarkBatchMorselParallel runs one aggregate query at several morsel
-// worker counts. Morsels merge in deterministic order, so results are
-// identical at every count; on a single-core runner the counts should show
-// wall-clock parity (scheduler overhead is one task handoff per morsel),
-// while multi-core runners see the filter phase scale.
-func BenchmarkBatchMorselParallel(b *testing.B) {
-	db := exprBenchDB(100000)
-	sql := "SELECT COUNT(*), SUM(AMT), AVG(A) FROM T WHERE B < 48 AND F % 5 <> 2"
-	counts := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		counts = append(counts, n)
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			exec := sqlexec.New(db)
-			exec.SetMorselWorkers(workers)
-			if _, err := exec.Query(sql); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.Query(sql); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkPipelineSingleGeneration(b *testing.B) {

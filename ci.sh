@@ -68,8 +68,8 @@ echo "== benchmark smoke (1 iteration each) =="
 go test -bench=. -benchtime=1x -run '^$' .
 go test -bench=. -benchtime=1x -run '^$' ./internal/bench
 
-echo "== parallel serving benchmarks under -race (cache hit path, coalescing, shard contention, morsel scheduler) =="
-go test -race -bench 'GenerationCache|GenerationCoalescing|StatementCacheParallel|ParallelEval|BatchMorselParallel' -benchtime=1x -run '^$' .
+echo "== parallel serving benchmarks under -race (cache hit path, coalescing, shard contention) =="
+go test -race -bench 'GenerationCache|GenerationCoalescing|StatementCacheParallel|ParallelEval' -benchtime=1x -run '^$' .
 
 echo "== closed-loop load smoke (benchrunner -parallel) =="
 go run ./cmd/benchrunner -parallel 4 -requests 200 > /dev/null
@@ -108,12 +108,13 @@ go test -run '^$' -fuzz '^FuzzToChar$' -fuzztime 10s ./internal/sqlexec
 echo "== kstore crash-fuzz (1000 injected-fault iterations, event-loss + lineage checks) =="
 KSTORE_FUZZ_ITERS=1000 go test -count=1 -run 'TestCrashFuzz|TestFaultSweepExhaustive' ./internal/kstore
 
-# BENCH_7.json (allocation-free date kernel) carries the current wall-clock
-# and allocation trajectory; its EX tables are bit-identical to BENCH_6.json
-# and the original BENCH_0.json. Gating against it locks the original
-# accuracy baseline, and its alloc_stats are the allocation budget: an
-# exhibit that allocates more than 1% over its committed count fails.
-echo "== EX parity + allocation-budget gate (all tables vs committed BENCH_7.json baseline) =="
-go run ./cmd/benchrunner -json /tmp/bench_parity.json -baseline BENCH_7.json > /dev/null
+# BENCH_8.json (one SQL engine: compiled rows, interpreter as oracle)
+# carries the current wall-clock and allocation trajectory; its EX tables
+# are bit-identical to BENCH_7.json and the original BENCH_0.json. Gating
+# against it locks the original accuracy baseline, and its alloc_stats are
+# the allocation budget: an exhibit that allocates more than 1% over its
+# committed count fails.
+echo "== EX parity + allocation-budget gate (all tables vs committed BENCH_8.json baseline) =="
+go run ./cmd/benchrunner -json /tmp/bench_parity.json -baseline BENCH_8.json > /dev/null
 
 echo "CI pass complete."

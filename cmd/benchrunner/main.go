@@ -71,7 +71,6 @@ import (
 	"genedit/internal/eval"
 	"genedit/internal/feedback"
 	"genedit/internal/metrics"
-	"genedit/internal/sqlexec"
 	"genedit/internal/task"
 	"genedit/internal/workload"
 )
@@ -105,14 +104,6 @@ type jsonRow struct {
 	All         float64 `json:"ex_all"`
 }
 
-// execConfig records the SQL execution-engine configuration a run used, so
-// committed baselines say which engine produced them.
-type execConfig struct {
-	BatchExec     bool `json:"batch_exec"`
-	MorselSize    int  `json:"morsel_size"`
-	MorselWorkers int  `json:"morsel_workers"`
-}
-
 // allocStat is a -benchmem-style allocation summary for one exhibit:
 // heap allocation count and megabytes allocated while regenerating it
 // (runtime.MemStats deltas, so background allocation is included — treat
@@ -130,7 +121,6 @@ type allocStat struct {
 type benchRecord struct {
 	Seed        uint64               `json:"seed"`
 	ModelSeed   uint64               `json:"model_seed"`
-	Exec        execConfig           `json:"exec"`
 	DurationsMS map[string]float64   `json:"durations_ms"`
 	AllocStats  map[string]allocStat `json:"alloc_stats"`
 	Tables      map[string][]jsonRow `json:"tables"`
@@ -161,7 +151,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "closed-loop load mode: N concurrent workers issuing Generate requests (skips table regeneration)")
 	requests := flag.Int("requests", 2000, "total requests to issue in -parallel load mode")
 	genCache := flag.Int("gencache", 4096, "generation-cache size in -parallel load mode (0 = disabled)")
-	noBatch := flag.Bool("nobatch", false, "serve -parallel load mode through the compiled row engine instead of the columnar batch engine")
 	adversarial := flag.Bool("adversarial", false, "load mode: replace the round-robin eval mix with the adversarial overload mix (hot-key skew + cache-busting uniques)")
 	hotFrac := flag.Float64("hotfrac", 0.4, "adversarial mix: fraction of requests hammering the hot key set")
 	uniqueFrac := flag.Float64("uniquefrac", 0.2, "adversarial mix: fraction of cache-busting unique requests")
@@ -175,7 +164,6 @@ func main() {
 	scale := flag.Int("scale", 0, "load mode: clone every domain into N tenant databases via the stress-scale suite (0 = standard suite); -scale 100 is the 100x hardening run")
 	kscale := flag.Int("kscale", 10, "load mode, with -scale: per-database query-log knowledge multiplier (parameter-variant log rounds growing each retrieval index past the ANN partitioning threshold)")
 	approvers := flag.Int("approvers", 0, "load mode: N concurrent SME approver loops; approved merges hot-swap engines (and re-partition retrieval indexes) while load workers generate")
-	noANN := flag.Bool("noann", false, "load mode: disable ANN-partitioned retrieval (every search scans the full index), for A/B against the default")
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -212,11 +200,9 @@ func main() {
 			scale:         *scale,
 			kscale:        *kscale,
 			approvers:     *approvers,
-			annOff:        *noANN,
 			workers:       *parallel,
 			totalRequests: *requests,
 			genCacheSize:  *genCache,
-			batchExec:     !*noBatch,
 			adversarial:   *adversarial,
 			hotFrac:       *hotFrac,
 			uniqueFrac:    *uniqueFrac,
@@ -235,24 +221,16 @@ func main() {
 		return
 	}
 
-	if *scale > 0 || *approvers > 0 || *noANN {
+	if *scale > 0 || *approvers > 0 {
 		// Table regeneration always runs the standard suite at production
 		// defaults — the stress knobs would silently change the exhibits.
-		fmt.Fprintln(os.Stderr, "-scale/-approvers/-noann apply to -parallel load mode only")
+		fmt.Fprintln(os.Stderr, "-scale/-approvers apply to -parallel load mode only")
 		os.Exit(1)
 	}
 
 	record := benchRecord{
-		Seed:      *seed,
-		ModelSeed: *modelSeed,
-		// Exhibits regenerate through engines at production defaults: batch
-		// execution on, morsels at the default size, fan-out bounded by
-		// GOMAXPROCS.
-		Exec: execConfig{
-			BatchExec:     true,
-			MorselSize:    sqlexec.DefaultMorselSize,
-			MorselWorkers: runtime.GOMAXPROCS(0),
-		},
+		Seed:        *seed,
+		ModelSeed:   *modelSeed,
 		DurationsMS: make(map[string]float64),
 		AllocStats:  make(map[string]allocStat),
 		Tables:      make(map[string][]jsonRow),
@@ -405,7 +383,6 @@ type loadConfig struct {
 	workers       int
 	totalRequests int
 	genCacheSize  int
-	batchExec     bool
 	adversarial   bool
 	hotFrac       float64
 	uniqueFrac    float64
@@ -419,7 +396,6 @@ type loadConfig struct {
 	scale         int
 	kscale        int
 	approvers     int
-	annOff        bool
 }
 
 // loadCounters aggregates per-request outcomes across workers.
@@ -457,11 +433,7 @@ func runParallelLoad(seed, modelSeed uint64, cfg loadConfig) error {
 	// A private registry rather than the process default: the dump at the
 	// end of the run then contains exactly this run's counters.
 	reg := metrics.NewRegistry()
-	opts := []genedit.Option{genedit.WithModelSeed(modelSeed), genedit.WithBatchExec(cfg.batchExec),
-		genedit.WithMetrics(reg)}
-	if cfg.annOff {
-		opts = append(opts, genedit.WithANNRetrieval(genedit.ANNRetrieval{Disable: true}))
-	}
+	opts := []genedit.Option{genedit.WithModelSeed(modelSeed), genedit.WithMetrics(reg)}
 	if cfg.traceSample > 0 {
 		opts = append(opts, genedit.WithOperatorSampling(cfg.traceSample))
 	}
@@ -578,17 +550,13 @@ func runParallelLoad(seed, modelSeed uint64, cfg loadConfig) error {
 		i := int(p * float64(len(all)-1))
 		return all[i]
 	}
-	engine := "columnar batch (morsel size " + fmt.Sprint(sqlexec.DefaultMorselSize) + ")"
-	if !cfg.batchExec {
-		engine = "compiled row"
-	}
 	mixName := fmt.Sprintf("%d cases round-robin", len(suite.Cases))
 	if mix != nil {
 		mixName = fmt.Sprintf("adversarial (%.0f%% hot on %s, %.0f%% cache-busting)",
 			100*cfg.hotFrac, mix.HotDatabase(), 100*cfg.uniqueFrac)
 	}
-	fmt.Printf("\nclosed-loop load: %d workers, %d requests, mix %s, %s sql engine\n",
-		cfg.workers, cfg.totalRequests, mixName, engine)
+	fmt.Printf("\nclosed-loop load: %d workers, %d requests, mix %s\n",
+		cfg.workers, cfg.totalRequests, mixName)
 	fmt.Printf("  wall clock   %s\n", elapsed.Round(time.Millisecond))
 	fmt.Printf("  throughput   %.1f gen/sec (completed requests)\n", float64(len(all))/elapsed.Seconds())
 	fmt.Printf("  latency      p50 %s   p95 %s   p99 %s   max %s\n",

@@ -60,6 +60,10 @@
 // and a restarted daemon recovers the exact knowledge version, audit
 // history and checkpoints instead of re-running the seed build.
 //
+// Request bodies are untrusted: a body over 1 MiB gets 413, a batch over
+// 256 requests gets 400, and slow request headers time out. These bounds
+// are constants, not flags.
+//
 // Observability: the daemon reports into the process-global metrics
 // registry and exposes it as Prometheus text exposition on GET /metrics
 // (opt out with -metrics=false) — request outcomes and latency histograms
@@ -220,6 +224,38 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// Request bodies come from anyone, so they are bounded by constants rather
+// than flags: no legitimate request comes near either limit.
+const (
+	// maxBodyBytes caps every JSON request body; larger bodies get 413.
+	maxBodyBytes = 1 << 20
+	// maxBatchRequests caps the items of one /v1/generate/batch call;
+	// longer batches get 400.
+	maxBatchRequests = 256
+	// readHeaderTimeout bounds how long a client may take to send request
+	// headers, and idleTimeout how long a keep-alive connection may sit
+	// unused, so slow or idle connections cannot pin server goroutines.
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. On failure it writes the error response — 413 for an
+// oversized body, 400 for malformed JSON — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	return false
 }
 
 // writeServiceError maps a service error to its HTTP status and, for shed
@@ -400,8 +436,7 @@ func newMux(svc *genedit.Service, suite *genedit.Benchmark, cfg muxConfig) *http
 
 	mux.HandleFunc("POST /v1/generate", func(w http.ResponseWriter, r *http.Request) {
 		var req generateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if req.Database == "" || req.Question == "" {
@@ -421,12 +456,15 @@ func newMux(svc *genedit.Service, suite *genedit.Benchmark, cfg muxConfig) *http
 
 	mux.HandleFunc("POST /v1/generate/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req batchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if len(req.Requests) == 0 {
 			writeError(w, http.StatusBadRequest, "requests must be non-empty")
+			return
+		}
+		if len(req.Requests) > maxBatchRequests {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("a batch holds at most %d requests", maxBatchRequests))
 			return
 		}
 		greqs := make([]genedit.Request, len(req.Requests))
@@ -472,7 +510,6 @@ func main() {
 	admitBurst := flag.Float64("admitburst", 0, "per-database token-bucket burst capacity (0 = max(1, admitrate))")
 	maxInflight := flag.Int("maxinflight", 0, "max concurrently executing generations (0 = unbounded)")
 	maxQueue := flag.Int("maxqueue", 64, "max requests queued for an execution slot before shedding with 503")
-	ann := flag.Bool("ann", true, "partitioned ANN retrieval index (exact: results identical to the full scan; disable for brute-vs-ANN comparisons)")
 	annMinSize := flag.Int("annminsize", 0, "min knowledge-index size before ANN partitioning kicks in (0 = default)")
 	annProbes := flag.Int("annprobes", 0, "ANN partitions scanned before the exactness guard takes over (0 = default)")
 	exFanout := flag.Int("exfanout", 0, "example-retrieval fan-out; candidates pulled per query before re-ranking (0 = default 24; non-default values can change generated SQL)")
@@ -480,9 +517,8 @@ func main() {
 	flag.Parse()
 
 	opts := []genedit.Option{genedit.WithModelSeed(*modelSeed)}
-	if !*ann || *annMinSize > 0 || *annProbes > 0 {
+	if *annMinSize > 0 || *annProbes > 0 {
 		opts = append(opts, genedit.WithANNRetrieval(genedit.ANNRetrieval{
-			Disable: !*ann,
 			MinSize: *annMinSize,
 			Probes:  *annProbes,
 		}))
@@ -548,12 +584,17 @@ func main() {
 			*admitRate, *admitBurst, *maxInflight, *maxQueue)
 	}
 
-	server := &http.Server{Addr: *addr, Handler: newMux(svc, suite, muxConfig{
-		perReq:      *timeout,
-		maxSessions: *maxSessions,
-		ready:       ready,
-		noMetrics:   !*metricsOn,
-	})}
+	server := &http.Server{
+		Addr:              *addr,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		Handler: newMux(svc, suite, muxConfig{
+			perReq:      *timeout,
+			maxSessions: *maxSessions,
+			ready:       ready,
+			noMetrics:   !*metricsOn,
+		}),
+	}
 
 	minerCtx, stopMiner := context.WithCancel(context.Background())
 	defer stopMiner()

@@ -141,6 +141,37 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBodyLimits checks the hostile-input bounds: an oversized body is
+// refused with 413 on every JSON endpoint before it reaches the service,
+// and a batch over maxBatchRequests is refused with 400.
+func TestBodyLimits(t *testing.T) {
+	srv := newTestServer(t, time.Second)
+	huge := `{"database":"retail_chain","question":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{
+		"/v1/generate",
+		"/v1/generate/batch",
+		"/v1/feedback/open",
+	} {
+		resp, raw := postJSON(t, srv.URL+path, huge)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s oversized body: status = %d, want 413; body %s", path, resp.StatusCode, raw)
+		}
+	}
+
+	reqs := make([]generateRequest, maxBatchRequests+1)
+	for i := range reqs {
+		reqs[i] = generateRequest{Database: "retail_chain", Question: "q"}
+	}
+	body, _ := json.Marshal(batchRequest{Requests: reqs})
+	resp, raw := postJSON(t, srv.URL+"/v1/generate/batch", string(body))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-long batch: status = %d, want 400; body %s", resp.StatusCode, raw)
+	}
+	if !strings.Contains(string(raw), "at most") {
+		t.Errorf("over-long batch error should name the cap, got %s", raw)
+	}
+}
+
 func TestDatabasesAndHealth(t *testing.T) {
 	srv := newTestServer(t, time.Second)
 	resp, err := http.Get(srv.URL + "/v1/databases")

@@ -28,9 +28,12 @@
 //
 // The Service is safe for concurrent use and honors context deadlines
 // mid-pipeline; GenerateBatch fans many requests out over a bounded worker
-// pool. Construction is configured with functional options (WithConfig,
-// WithModelSeed, WithWorkers, WithStatementCacheSize, WithTrace,
-// WithStorePath).
+// pool. Construction is configured with functional options: WithConfig,
+// WithModelSeed and WithRetrievalFanout shape generation; WithWorkers,
+// WithStatementCacheSize, WithANNRetrieval, WithGenerationCache,
+// WithAdmission and WithMiddleware shape serving; WithTrace, WithMetrics,
+// WithOperatorSampling and WithMiner add observation and mining;
+// WithStorePath and WithStoreFS make knowledge durable.
 //
 // WithStorePath makes the knowledge sets durable: each database is backed
 // by a crash-safe WAL + snapshot store (internal/kstore), approved SME

@@ -8,17 +8,16 @@ import (
 	"genedit/internal/sqlexec"
 )
 
-// Adversarial three-engine parity for the batch executor: hand-built tables
-// and statements aimed at the seams the randomized suite only grazes —
-// empty tables (zero morsels), all-NULL and mixed-kind columns, selections
-// clustered at morsel boundaries, and error selection across morsels and
-// phases. Everything goes through assertExecParity, so the interpreter
-// remains the single source of truth.
+// Adversarial parity for the compiled engine: hand-built tables and
+// statements aimed at the seams the randomized suite only grazes — empty
+// tables, all-NULL and mixed-kind columns, and which of several row errors
+// a statement reports. Everything goes through assertExecParity, so the
+// interpreter remains the single source of truth.
 
-// batchParityDB builds a database whose table shapes are aligned against
-// parityMorselSize (7): 40 rows span 6 morsels with a ragged tail.
-func batchParityDB() *sqldb.Database {
-	db := sqldb.NewDatabase("batchparity")
+// adversarialDB builds an empty table, a 40-row table of typed, NULL-holed,
+// all-NULL, mixed-kind and poisoned columns, and a small bool table.
+func adversarialDB() *sqldb.Database {
+	db := sqldb.NewDatabase("adversarial")
 
 	empty := sqldb.NewTable("EMPTY",
 		sqldb.Column{Name: "A", Type: "INTEGER"}, sqldb.Column{Name: "B", Type: "TEXT"})
@@ -57,7 +56,7 @@ func batchParityDB() *sqldb.Database {
 			mv = sqldb.Null()
 		}
 		// EARLY errors (non-numeric under arithmetic) at row 1 only; LATE
-		// errors at row 20 only — morsel 0 vs morsel 2 at size 7.
+		// errors at row 20 only.
 		ev := sqldb.Value(sqldb.Str("1"))
 		if i == 1 {
 			ev = sqldb.Str("boom")
@@ -84,10 +83,10 @@ func batchParityDB() *sqldb.Database {
 	return db
 }
 
-func TestBatchAdversarialParity(t *testing.T) {
-	db := batchParityDB()
+func TestAdversarialParity(t *testing.T) {
+	db := adversarialDB()
 	stmts := []string{
-		// Empty table: zero morsels, scans and aggregates.
+		// Empty table: scans and aggregates.
 		"SELECT A, B FROM EMPTY",
 		"SELECT A + 1 FROM EMPTY WHERE A > 0",
 		"SELECT COUNT(*), COUNT(A), SUM(A), MIN(B), TOTAL(A) FROM EMPTY",
@@ -102,14 +101,7 @@ func TestBatchAdversarialParity(t *testing.T) {
 		"SELECT COUNT(N), SUM(N), MIN(N), MAX(N), AVG(N), TOTAL(N) FROM T",
 		"SELECT N, COUNT(*) FROM T GROUP BY N",
 
-		// Selections clustered at morsel boundaries (size 7): first lane,
-		// last lane, and the ragged final morsel (rows 35..39).
-		"SELECT I, F FROM T WHERE I % 7 = 0",
-		"SELECT I, F FROM T WHERE I % 7 = 6",
-		"SELECT I FROM T WHERE I >= 35",
-		"SELECT I FROM T WHERE I < 1",
-
-		// Kernel coverage over typed, mixed and NULL-holed columns.
+		// Operators over typed, mixed and NULL-holed columns.
 		"SELECT I + 2, I - 2, I * 3, I / 2, I % 3, -I FROM T",
 		"SELECT F + 0.5, F * 2.0, F / 0.0, F % 0.0, -F FROM T",
 		"SELECT I / 0, I % 0 FROM T",
@@ -130,7 +122,7 @@ func TestBatchAdversarialParity(t *testing.T) {
 		"SELECT COUNT(B), MIN(B), MAX(B) FROM BOOLS",
 
 		// Error selection: WHERE errors beat projection errors regardless of
-		// morsel position (LATE poisons row 20, EARLY poisons row 1).
+		// row position (LATE poisons row 20, EARLY poisons row 1).
 		"SELECT EARLY + 1 FROM T WHERE LATE + 1 > 0",
 		"SELECT LATE + 1 FROM T WHERE EARLY + 1 > 0",
 		"SELECT EARLY + 1, LATE + 1 FROM T",
@@ -138,9 +130,9 @@ func TestBatchAdversarialParity(t *testing.T) {
 		"SELECT I FROM T ORDER BY LATE + 1, EARLY + 1",
 		"SELECT I, EARLY + 1 FROM T WHERE I % 7 = 1 ORDER BY LATE + 1",
 
-		// Aggregation: typed and generic accumulators, DISTINCT, HAVING and
-		// error-carrying aggregates (SUM over non-numeric strings errors in
-		// the finish; EARLY + 1 errors per-row inside the accumulator).
+		// Aggregation: DISTINCT, HAVING and error-carrying aggregates (SUM
+		// over non-numeric strings errors in the finish; EARLY + 1 errors on
+		// one row of the aggregated group).
 		"SELECT COUNT(*), COUNT(F), SUM(I), SUM(F), AVG(I), AVG(F), MIN(I), MAX(F), MIN(S), MAX(S), TOTAL(I), TOTAL(F) FROM T",
 		"SELECT COUNT(DISTINCT I), SUM(DISTINCT I), COUNT(DISTINCT S) FROM T",
 		"SELECT SUM(S) FROM T",
@@ -155,7 +147,7 @@ func TestBatchAdversarialParity(t *testing.T) {
 		"SELECT SUM(I) FROM T WHERE I > 100",
 		"SELECT MIN(I) FROM T WHERE I > 100",
 
-		// DISTINCT / ORDER BY / LIMIT tails over batch output.
+		// DISTINCT / ORDER BY / LIMIT tails.
 		"SELECT DISTINCT I % 4 FROM T ORDER BY 1 DESC",
 		"SELECT DISTINCT S, I FROM T ORDER BY S, I LIMIT 5 OFFSET 2",
 		"SELECT I, F FROM T ORDER BY F DESC, I LIMIT 4",
@@ -166,20 +158,19 @@ func TestBatchAdversarialParity(t *testing.T) {
 	}
 }
 
-// TestBatchPlanCacheAndStaleness checks the cached batch plan is reused and
-// recompiled — not silently wrong — when rows are appended after the first
-// execution.
-func TestBatchPlanCacheAndStaleness(t *testing.T) {
-	db := batchParityDB()
+// TestPlanCacheSeesAppendedRows checks a cached compiled plan is reused and
+// still reads the table's current rows — not a stale count — when rows are
+// appended after the first execution.
+func TestPlanCacheSeesAppendedRows(t *testing.T) {
+	db := adversarialDB()
 	exec := sqlexec.New(db)
-	exec.SetMorselSize(parityMorselSize)
 	const sql = "SELECT COUNT(*), SUM(I) FROM T"
 
 	res1, err := exec.Query(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := exec.Query(sql) // cached batch plan
+	res2, err := exec.Query(sql) // cached plan
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,50 +188,7 @@ func TestBatchPlanCacheAndStaleness(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n3, _ := res3.Rows[0][0].AsInt(); n3 != 41 {
-		t.Fatalf("post-append COUNT(*) = %d, want 41 (stale snapshot reused)", n3)
+		t.Fatalf("post-append COUNT(*) = %d, want 41 (stale rows reused)", n3)
 	}
 	assertExecParity(t, db, "SELECT I, COUNT(*) FROM T GROUP BY I ORDER BY I")
-}
-
-// TestMorselParallelConsistency hammers one executor from the batch parity
-// suite with several morsel workers across repeated mixed queries; it exists
-// chiefly to give the race detector a dense interleaving of morsel tasks,
-// arena recycling and snapshot cache hits.
-func TestMorselParallelConsistency(t *testing.T) {
-	db := batchParityDB()
-	exec := sqlexec.New(db)
-	exec.SetMorselSize(3)
-	exec.SetMorselWorkers(8)
-	want := map[string]int{
-		"SELECT I FROM T WHERE I % 2 = 0":                22,
-		"SELECT I, F FROM T WHERE F > 10.0":              25,
-		"SELECT I, COUNT(*) FROM T GROUP BY I":           9,
-		"SELECT S, SUM(I) FROM T GROUP BY S ORDER BY S":  7,
-		"SELECT DISTINCT I % 4 FROM T":                   4,
-		"SELECT COUNT(*), SUM(F), MIN(S), AVG(I) FROM T": 1,
-	}
-	done := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		go func() {
-			for i := 0; i < 50; i++ {
-				for sql, rows := range want {
-					res, err := exec.Query(sql)
-					if err != nil {
-						done <- fmt.Errorf("%s: %v", sql, err)
-						return
-					}
-					if len(res.Rows) != rows {
-						done <- fmt.Errorf("%s: got %d rows, want %d", sql, len(res.Rows), rows)
-						return
-					}
-				}
-			}
-			done <- nil
-		}()
-	}
-	for w := 0; w < 8; w++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
 }

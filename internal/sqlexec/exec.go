@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"genedit/internal/sqldb"
 	"genedit/internal/sqlparse"
@@ -18,11 +17,13 @@ import (
 // Executor runs queries against a database. Executors are safe for
 // concurrent use: the database is read-only during query evaluation, the
 // statement cache is internally synchronized, and compiled plans are
-// stateless. The configuration knobs (SetHashJoin, SetStatementCaching,
-// SetCompiledExec) are not synchronized — set them before sharing the
-// executor across goroutines. Compiled plans bind column ordinals against
-// table layouts, so schemas must not change under a live executor (rows may
-// be appended freely).
+// stateless. The compiled engine serves every query; the tree-walking
+// interpreter is its reference oracle. The configuration knobs
+// (SetStatementCacheSize, SetStatementCaching, and the reference-path
+// switches SetCompiledExec and SetHashJoin) are not synchronized — set them
+// before sharing the executor across goroutines. Compiled plans bind column
+// ordinals against table layouts, so schemas must not change under a live
+// executor (rows may be appended freely).
 type Executor struct {
 	db    *sqldb.Database
 	stmts *stmtCache
@@ -30,16 +31,6 @@ type Executor struct {
 	noHashJoin bool
 	// noCompiled forces the tree-walking interpreter; see SetCompiledExec.
 	noCompiled bool
-	// noBatch disables the vectorized batch engine; see SetBatchExec.
-	noBatch bool
-	// morselSize/morselWorkers configure batch execution; zero means the
-	// defaults (DefaultMorselSize, GOMAXPROCS at query time).
-	morselSize    int
-	morselWorkers int
-	// colMu guards colSnaps, the per-table columnar snapshot cache the batch
-	// engine scans (see columnarFor).
-	colMu    sync.RWMutex
-	colSnaps map[string]*colSnap
 }
 
 // New returns an executor over db with statement caching, compiled
@@ -85,11 +76,6 @@ func (e *Executor) Query(sql string) (*Result, error) {
 				cs.plan = compileStmt(e.db, cs.stmt)
 				e.stmts.setPlan(sql, cs.plan)
 			}
-			if !e.noBatch {
-				if bp := e.batchFor(sql, cs, cs.plan); bp != nil {
-					return e.runBatch(bp)
-				}
-			}
 			return e.runStmt(cs.plan, &scope{})
 		}
 	}
@@ -107,15 +93,6 @@ func (e *Executor) Query(sql string) (*Result, error) {
 	if e.stmts != nil {
 		e.stmts.put(sql, stmt, plan)
 	}
-	if !e.noBatch {
-		bp := compileBatch(e, plan)
-		if e.stmts != nil {
-			e.stmts.setBatch(sql, bp)
-		}
-		if bp != nil {
-			return e.runBatch(bp)
-		}
-	}
 	return e.runStmt(plan, &scope{})
 }
 
@@ -125,13 +102,7 @@ func (e *Executor) Exec(stmt *sqlparse.SelectStmt) (*Result, error) {
 	if e.noCompiled {
 		return e.evalStmt(stmt, &scope{}, nil)
 	}
-	plan := compileStmt(e.db, stmt)
-	if !e.noBatch {
-		if bp := compileBatch(e, plan); bp != nil {
-			return e.runBatch(bp)
-		}
-	}
-	return e.runStmt(plan, &scope{})
+	return e.runStmt(compileStmt(e.db, stmt), &scope{})
 }
 
 // scope carries CTE visibility; scopes chain lexically.
@@ -180,10 +151,6 @@ type rowEnv struct {
 	outer   *rowEnv     // enclosing query's row for correlated subqueries
 	windows map[*sqlparse.FuncCall][]sqldb.Value
 	idx     int // this row's index into window value slices
-	// aggs holds pre-accumulated aggregate results for the batch engine's
-	// group-finish phase: when set, compiled aggregate closures return the
-	// stored result (value or error) instead of re-scanning env.group.
-	aggs map[*sqlparse.FuncCall]aggRes
 }
 
 func (e *Executor) evalStmt(stmt *sqlparse.SelectStmt, sc *scope, outer *rowEnv) (*Result, error) {

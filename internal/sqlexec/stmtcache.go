@@ -57,27 +57,18 @@ type stmtShard struct {
 }
 
 type stmtEntry struct {
-	sql  string
-	stmt *sqlparse.SelectStmt
-	plan *stmtPlan // nil until first compiled execution
-	// batch is the lazily-built vectorized plan riding alongside the row
-	// plan; batchTried distinguishes "not yet attempted" (false, nil) from
-	// "attempted, unsupported" (true, nil) so the support gate runs once per
-	// statement. A non-nil batch can still be recompiled when its bound
-	// snapshot goes stale — see Executor.batchFor.
-	batch      *batchPlan
-	batchTried bool
-	lastUse    uint64 // global clock stamp of the most recent get/put
+	sql     string
+	stmt    *sqlparse.SelectStmt
+	plan    *stmtPlan // nil until first compiled execution
+	lastUse uint64    // global clock stamp of the most recent get/put
 }
 
 // cachedStmt is the lock-free view of one cache entry get returns: the
 // fields are copied out under the shard lock, so callers never touch the
 // live entry.
 type cachedStmt struct {
-	stmt       *sqlparse.SelectStmt
-	plan       *stmtPlan
-	batch      *batchPlan
-	batchTried bool
+	stmt *sqlparse.SelectStmt
+	plan *stmtPlan
 }
 
 // stmtShardCount picks how many stripes a capacity supports: one per
@@ -151,7 +142,7 @@ func (c *stmtCache) get(sql string) (cachedStmt, bool) {
 	sh.order.MoveToFront(el)
 	ent := el.Value.(*stmtEntry)
 	ent.lastUse = c.clock.Add(1)
-	return cachedStmt{stmt: ent.stmt, plan: ent.plan, batch: ent.batch, batchTried: ent.batchTried}, true
+	return cachedStmt{stmt: ent.stmt, plan: ent.plan}, true
 }
 
 func (c *stmtCache) put(sql string, stmt *sqlparse.SelectStmt, plan *stmtPlan) {
@@ -190,20 +181,6 @@ func (c *stmtCache) setPlan(sql string, plan *stmtPlan) {
 	defer sh.mu.Unlock()
 	if el, ok := sh.items[sql]; ok {
 		el.Value.(*stmtEntry).plan = plan
-	}
-}
-
-// setBatch records a batch-compilation outcome — a plan, or nil for
-// "unsupported" — marking the attempt either way. Not a use; a no-op if the
-// entry has been evicted.
-func (c *stmtCache) setBatch(sql string, batch *batchPlan) {
-	sh := c.shardFor(sql)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[sql]; ok {
-		ent := el.Value.(*stmtEntry)
-		ent.batch = batch
-		ent.batchTried = true
 	}
 }
 
